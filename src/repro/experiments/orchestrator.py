@@ -37,6 +37,7 @@ from .registry import EXPERIMENTS
 from .report import Table
 from .result import SCHEMA_VERSION, ExperimentResult, failed_result
 from ..errors import ReproError
+from ..machine.engine.distinct import kernel_info
 
 #: Default directory for run manifests.
 DEFAULT_RESULTS_DIR = "results"
@@ -404,7 +405,9 @@ def build_manifest(
 ) -> dict[str, Any]:
     """``service`` is the daemon's telemetry block (queue/batch/dedup and
     latency accounting) when the battery ran under ``repro serve``; it is
-    empty for direct CLI runs, matching the per-result block convention."""
+    empty for direct CLI runs, matching the per-result block convention.
+    ``kernels`` records which implementation of each compiled kernel the
+    process uses, and why when it is not the compiled one."""
     return {
         "schema_version": SCHEMA_VERSION,
         "run_id": run_id or new_run_id(),
@@ -413,6 +416,7 @@ def build_manifest(
         "command": list(command) if command is not None else None,
         "dedup_hits": dedup_hits,
         "service": dict(service) if service else {},
+        "kernels": {"count_prior_leq": kernel_info()},
         "results": [r.to_json() for r in results],
     }
 

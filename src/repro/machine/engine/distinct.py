@@ -24,11 +24,24 @@ mine" — the number of non-inversions of the ``prev`` array.  That is
 computed for all *i* simultaneously by a bottom-up merge sort where each
 level counts left-block/right-block pairs with one stable ``argsort``
 per level (O(n log^2 n) total, all vectorized).
+
+When the values are previous-occurrence links (every value in
+``[-1, n)``, which is all :func:`reuse_distances` ever passes), the count
+runs instead in a compiled O(n log n) Fenwick-tree kernel
+(:mod:`repro.machine.engine._fenwick`), built lazily with the local C
+compiler.  The NumPy merge count stays as the path for every other input,
+the fallback when no compiler or build is available (see
+:func:`kernel_info`), and the differential oracle the kernel is tested
+against.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
+
+from . import _fenwick
 
 #: Sentinel reuse distance for cold (first-ever) accesses.
 COLD = np.iinfo(np.int64).max
@@ -52,8 +65,36 @@ def previous_occurrences(keys: np.ndarray) -> np.ndarray:
     return prev
 
 
+#: Longest input the compiled kernel takes: its counters are int32.
+_KERNEL_MAX_N = 2**31 - 2
+
+
 def count_prior_leq(values: np.ndarray) -> np.ndarray:
     """``out[i] = #{ j < i : values[j] <= values[i] }`` for every *i*.
+
+    Previous-occurrence links (``n < 2**31 - 2``, every value in
+    ``[-1, n)``) go to the compiled Fenwick kernel when it is available;
+    everything else to the NumPy merge count.  Both give identical output.
+    """
+    v = np.ascontiguousarray(values, dtype=np.int64)
+    n = v.size
+    if 1 < n < _KERNEL_MAX_N and v.min() >= -1 and v.max() < n:
+        kernel, _ = _fenwick.load()
+        if kernel is not None:
+            return kernel(v)
+    return _count_prior_leq_numpy(v)
+
+
+def kernel_info() -> dict[str, Any]:
+    """Which implementation :func:`count_prior_leq` uses for links:
+    ``{"kernel": "c" | "numpy", "reason": str | None}``.  Builds or loads
+    the compiled kernel if no call has yet."""
+    kernel, reason = _fenwick.load()
+    return {"kernel": "numpy" if kernel is None else "c", "reason": reason}
+
+
+def _count_prior_leq_numpy(values: np.ndarray) -> np.ndarray:
+    """:func:`count_prior_leq` for any int64 values.
 
     Bottom-up vectorized merge counting.  Values are first remapped to
     their rank under ``(value, index)`` order, which makes them a

@@ -19,6 +19,16 @@ settings.register_profile("repro-thorough", max_examples=40, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro-default"))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_build_cache(tmp_path_factory):
+    """Build compiled kernels into a per-session directory rather than the
+    user's cache; subprocesses the tests start inherit it."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture
 def tiny_machine() -> MachineSpec:
     """A two-level machine small enough that tiny arrays spill: L1 128 B
