@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..lang.program import Program
 from ..machine.layout import build_layout
-from ..machine.opt_cache import lru_vs_opt
+from ..machine.opt_cache import lru_vs_opt, simulate_lru
 from ..machine.spec import MachineSpec
 from ..programs import convolution, dmxpy, fig7_original, matmul
 from ..trace.generator import generate_trace
@@ -79,18 +79,21 @@ class E13Result:
         return t
 
 
-def _l2_bytes(program: Program, machine: MachineSpec) -> tuple[int, int]:
-    """(LRU, OPT) traffic below the last cache for one program.
+def _l2_bytes(program: Program, machine: MachineSpec, opt: bool) -> tuple[int, int | None]:
+    """(LRU, OPT) traffic below the last cache for one program; OPT is
+    ``None`` unless ``opt``.
 
-    The trace is pre-filtered through the upper levels by running the real
-    hierarchy for LRU; for OPT we conservatively replay the raw element
-    trace against the last-level geometry (OPT with the full trace is a
-    lower bound for OPT with the filtered trace).
+    Both policies replay the program's raw element trace against the
+    last-level geometry alone: the upper levels are not simulated, so LRU
+    and OPT see the same stream and differ only in replacement.
     """
     layout = build_layout(program, None, machine.default_layout)
     trace = generate_trace(program, layout=layout)
     geometry = machine.cache_levels[-1].geometry
-    return lru_vs_opt(trace.addresses, trace.is_write, geometry)
+    if opt:
+        return lru_vs_opt(trace.addresses, trace.is_write, geometry)
+    lru = simulate_lru(trace.addresses, trace.is_write, geometry)
+    return lru.events_out * geometry.line_size, None
 
 
 @experiment("e13")
@@ -106,10 +109,10 @@ def run_e13(config: ExperimentConfig | None = None) -> E13Result:
     ]
     rows = []
     for program in workloads:
-        lru, opt = _l2_bytes(program, machine)
+        lru, opt = _l2_bytes(program, machine, opt=True)
         transformed = optimize(program).final
         if transformed is not program:
-            t_lru, _ = _l2_bytes(transformed, machine)
+            t_lru, _ = _l2_bytes(transformed, machine, opt=False)
         else:
             t_lru = None
         rows.append(ReplacementRow(program.name, lru, opt, t_lru))

@@ -37,7 +37,7 @@ from .registry import EXPERIMENTS
 from .report import Table
 from .result import SCHEMA_VERSION, ExperimentResult, failed_result
 from ..errors import ReproError
-from ..machine.engine.distinct import kernel_info
+from ..machine.engine import kernels_info
 
 #: Default directory for run manifests.
 DEFAULT_RESULTS_DIR = "results"
@@ -416,7 +416,7 @@ def build_manifest(
         "command": list(command) if command is not None else None,
         "dedup_hits": dedup_hits,
         "service": dict(service) if service else {},
-        "kernels": {"count_prior_leq": kernel_info()},
+        "kernels": kernels_info(),
         "results": [r.to_json() for r in results],
     }
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from ...errors import MachineError
 from ..cache import Cache, CacheGeometry
+from ._kernels import kernels_info
 from .base import BaseEngine
 from .direct import DirectMappedEngine
 from .distinct import COLD, count_prior_leq, previous_occurrences, reuse_distances
@@ -143,6 +144,7 @@ __all__ = [
     "plan_shards",
     "count_prior_leq",
     "get_default_engine",
+    "kernels_info",
     "make_cache",
     "miss_curve",
     "previous_occurrences",

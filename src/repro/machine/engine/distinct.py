@@ -28,7 +28,7 @@ per level (O(n log^2 n) total, all vectorized).
 When the values are previous-occurrence links (every value in
 ``[-1, n)``, which is all :func:`reuse_distances` ever passes), the count
 runs instead in a compiled O(n log n) Fenwick-tree kernel
-(:mod:`repro.machine.engine._fenwick`), built lazily with the local C
+(:mod:`repro.machine.engine._kernels`), built lazily with the local C
 compiler.  The NumPy merge count stays as the path for every other input,
 the fallback when no compiler or build is available (see
 :func:`kernel_info`), and the differential oracle the kernel is tested
@@ -41,7 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from . import _fenwick
+from . import _kernels
 
 #: Sentinel reuse distance for cold (first-ever) accesses.
 COLD = np.iinfo(np.int64).max
@@ -79,9 +79,9 @@ def count_prior_leq(values: np.ndarray) -> np.ndarray:
     v = np.ascontiguousarray(values, dtype=np.int64)
     n = v.size
     if 1 < n < _KERNEL_MAX_N and v.min() >= -1 and v.max() < n:
-        kernel, _ = _fenwick.load()
-        if kernel is not None:
-            return kernel(v)
+        kernels, _ = _kernels.load()
+        if kernels is not None:
+            return kernels["count_prior_leq"](v)
     return _count_prior_leq_numpy(v)
 
 
@@ -89,8 +89,7 @@ def kernel_info() -> dict[str, Any]:
     """Which implementation :func:`count_prior_leq` uses for links:
     ``{"kernel": "c" | "numpy", "reason": str | None}``.  Builds or loads
     the compiled kernel if no call has yet."""
-    kernel, reason = _fenwick.load()
-    return {"kernel": "numpy" if kernel is None else "c", "reason": reason}
+    return _kernels.kernels_info()["count_prior_leq"]
 
 
 def _count_prior_leq_numpy(values: np.ndarray) -> np.ndarray:

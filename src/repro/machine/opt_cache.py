@@ -10,9 +10,17 @@ headroom hardware could never reach but compilers (which also see the
 whole program) can go after.
 
 OPT here is per-set: on a miss with a full set, evict the resident line
-whose next use is farthest in the future (never-used-again first). For
-writeback accounting a dirty victim costs one writeback, as in the LRU
-simulator, so traffic numbers are directly comparable.
+whose next use is farthest in the future (never-used-again first; among
+equals, the line that entered the set first). For writeback accounting a
+dirty victim costs one writeback, as in the LRU simulator, so traffic
+numbers are directly comparable.
+
+:func:`simulate_opt` runs in the compiled ``belady_opt`` kernel
+(:mod:`repro.machine.engine._kernels`) with next-use links computed in
+NumPy; the per-access Python loop (:func:`_simulate_opt_python`) stays as
+the fallback when no compiler or build is available and as the oracle the
+kernel is tested against. The LRU side runs through the exact engines
+(:func:`repro.machine.engine.make_cache`).
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ import numpy as np
 
 from ..errors import MachineError
 from .cache import CacheGeometry, CacheStats
+from .engine import _kernels, make_cache
+from .engine.distinct import previous_occurrences
 
 
 @dataclass(frozen=True)
@@ -56,10 +66,35 @@ def simulate_opt(
     if len(byte_addrs) != len(is_write):
         raise MachineError("address and write arrays must have equal length")
     n = len(byte_addrs)
-    stats = CacheStats()
     if n == 0:
-        return OptResult(stats, 0)
+        return OptResult(CacheStats(), 0)
+    kernels, _ = _kernels.load()
+    if kernels is None:
+        return _simulate_opt_python(byte_addrs, is_write, geometry, flush)
+    lines = np.asarray(byte_addrs, dtype=np.int64) >> (geometry.line_size.bit_length() - 1)
+    # Next-use links: the previous occurrences of the reversed stream,
+    # mirrored (a line never used again gets n).
+    next_use = (n - 1) - previous_occurrences(lines[::-1])[::-1]
+    hits, rmiss, wmiss, evict, wb, dirty = kernels["belady_opt"](
+        lines,
+        lines % geometry.n_sets,
+        next_use,
+        np.ascontiguousarray(is_write, dtype=bool).view(np.uint8),
+        geometry.n_sets,
+        geometry.associativity,
+    )
+    return _result(geometry, n, hits, rmiss, wmiss, evict, wb + dirty if flush else wb)
 
+
+def _simulate_opt_python(
+    byte_addrs: np.ndarray,
+    is_write: np.ndarray,
+    geometry: CacheGeometry,
+    flush: bool,
+) -> OptResult:
+    """:func:`simulate_opt` as a per-access Python loop over a non-empty
+    stream: the fallback without a compiled kernel, and its oracle."""
+    n = len(byte_addrs)
     line_shift = geometry.line_size.bit_length() - 1
     lines = (np.asarray(byte_addrs, dtype=np.int64) >> line_shift).tolist()
     writes = np.asarray(is_write, dtype=bool).tolist()
@@ -78,7 +113,7 @@ def simulate_opt(
 
     # Per-set resident map: line -> [next_use_index, dirty]
     sets: list[dict[int, list]] = [dict() for _ in range(n_sets)]
-    misses = hits = rmiss = wmiss = evict = wb = 0
+    hits = rmiss = wmiss = evict = wb = 0
 
     for k in range(n):
         line = lines[k]
@@ -90,7 +125,6 @@ def simulate_opt(
             entry[0] = next_use[k]
             entry[1] = entry[1] or w
             continue
-        misses += 1
         if w:
             wmiss += 1
         else:
@@ -109,16 +143,41 @@ def simulate_opt(
             for entry in ways.values():
                 if entry[1]:
                     wb += 1
+    return _result(geometry, n, hits, rmiss, wmiss, evict, wb)
 
-    stats.accesses = n
-    stats.hits = hits
-    stats.misses = misses
-    stats.read_misses = rmiss
-    stats.write_misses = wmiss
-    stats.evictions = evict
-    stats.writebacks = wb
-    stats.events_out = misses + wb
+
+def _result(
+    geometry: CacheGeometry, n: int, hits: int, rmiss: int, wmiss: int, evict: int, wb: int
+) -> OptResult:
+    misses = rmiss + wmiss
+    stats = CacheStats(
+        accesses=n,
+        hits=hits,
+        misses=misses,
+        read_misses=rmiss,
+        write_misses=wmiss,
+        evictions=evict,
+        writebacks=wb,
+        events_out=misses + wb,
+    )
     return OptResult(stats, (misses + wb) * geometry.line_size)
+
+
+def simulate_lru(
+    byte_addrs: np.ndarray,
+    is_write: np.ndarray,
+    geometry: CacheGeometry,
+    flush: bool = True,
+) -> CacheStats:
+    """Counters of an LRU replay of the same kind: one cache of
+    ``geometry``, built by :func:`~repro.machine.engine.make_cache`, so the
+    process's engine choice applies and every engine gives the same
+    counters."""
+    cache = make_cache("lru", geometry)
+    cache.run(byte_addrs, is_write, collect_events=False)
+    if flush:
+        cache.flush()
+    return cache.stats
 
 
 def lru_vs_opt(
@@ -129,15 +188,22 @@ def lru_vs_opt(
 ) -> tuple[int, int]:
     """(LRU downstream bytes, OPT downstream bytes) for one trace.
 
-    Convenience used by the replacement-policy experiment; OPT is a lower
-    bound, so the first element is always >= the second.
+    Used by the replacement-policy experiment.  OPT never misses more than
+    LRU on the same trace and geometry (Belady's theorem); a replay that
+    breaks that, or ``hits + misses == accesses`` on either side, raises
+    :class:`MachineError`.  The bytes carry no such bound: OPT minimises
+    misses, not writebacks, so it can move more bytes than LRU (16 B
+    lines, 2 ways, 1 set, ``flush=False``: addresses
+    ``[16, 32, 32, 0, 32, 16]`` with writes ``[F, T, T, F, T, F]`` give
+    LRU 64 B and OPT 80 B).
     """
-    from .cache import Cache
-
-    cache = Cache("lru", geometry)
-    cache.run(byte_addrs, is_write)
-    if flush:
-        cache.flush()
-    lru_bytes = cache.stats.events_out * geometry.line_size
+    lru = simulate_lru(byte_addrs, is_write, geometry, flush=flush)
     opt = simulate_opt(byte_addrs, is_write, geometry, flush=flush)
-    return lru_bytes, opt.downstream_bytes
+    for side, stats in (("LRU", lru), ("OPT", opt.stats)):
+        if stats.hits + stats.misses != stats.accesses:
+            raise MachineError(f"{side} replay broke hits + misses == accesses: {stats}")
+    if opt.misses > lru.misses:
+        raise MachineError(
+            f"OPT missed more than LRU on the same trace ({opt.misses} > {lru.misses})"
+        )
+    return lru.events_out * geometry.line_size, opt.downstream_bytes

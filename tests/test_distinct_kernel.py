@@ -28,7 +28,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.machine.engine import _fenwick, distinct
+from repro.machine.engine import _kernels, distinct
 from repro.machine.engine.distinct import (
     _count_prior_leq_numpy,
     count_prior_leq,
@@ -42,10 +42,10 @@ SRC = str(Path(distinct.__file__).resolve().parents[3])
 
 def compiled():
     """The compiled kernel, or a skip that says why there is none."""
-    kernel, reason = _fenwick.load()
-    if kernel is None:
+    kernels, reason = _kernels.load()
+    if kernels is None:
         pytest.skip(f"no compiled count_prior_leq kernel: {reason}")
-    return kernel
+    return kernels["count_prior_leq"]
 
 
 @pytest.fixture
@@ -58,7 +58,7 @@ def fresh_kernel(monkeypatch, tmp_path):
     """Forget the process's loaded kernel and point the build cache at an
     empty directory; both are restored afterwards.  Tests that also need
     a compiler request ``kernel`` first, so it is checked before the reset."""
-    monkeypatch.setattr(_fenwick, "_state", None)
+    monkeypatch.setattr(_kernels, "_state", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     return tmp_path / "xdg" / "repro" / "kernels"
 
@@ -96,14 +96,14 @@ class TestDifferential:
     @example([-1, 0, 1])  # the widest links
     def test_arbitrary_int64_takes_the_path_its_range_selects(self, values):
         values = np.asarray(values, dtype=np.int64)
-        real, _ = _fenwick.load()
+        kernels, _ = _kernels.load()
         calls = []
 
         def spy(v):
             calls.append(v.size)
-            return real(v) if real is not None else _count_prior_leq_numpy(v)
+            return kernels["count_prior_leq"](v) if kernels else _count_prior_leq_numpy(v)
 
-        with mock.patch.object(_fenwick, "_state", (spy, None)):
+        with mock.patch.object(_kernels, "_state", ({"count_prior_leq": spy}, None)):
             out = count_prior_leq(values)
         np.testing.assert_array_equal(out, _count_prior_leq_numpy(values))
         assert calls == ([values.size] if is_link_array(values) else [])
@@ -152,7 +152,7 @@ def test_reuse_distances_identical_on_paper_traces(kernel, monkeypatch):
     for name, lines in _paper_traces():
         fast = reuse_distances(lines)
         with monkeypatch.context() as m:
-            m.setattr(_fenwick, "_state", (None, "oracle"))
+            m.setattr(_kernels, "_state", (None, "oracle"))
             oracle = reuse_distances(lines)
         np.testing.assert_array_equal(fast, oracle, err_msg=name)
         checked += lines.size
@@ -161,9 +161,9 @@ def test_reuse_distances_identical_on_paper_traces(kernel, monkeypatch):
 
 class TestFallback:
     def test_missing_compiler(self, fresh_kernel, monkeypatch, caplog):
-        monkeypatch.setattr(_fenwick, "CC", "repro-no-such-compiler")
+        monkeypatch.setattr(_kernels, "CC", "repro-no-such-compiler")
         prev = previous_occurrences(np.arange(500) % 37)
-        with caplog.at_level(logging.WARNING, logger=_fenwick.__name__):
+        with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
             out = count_prior_leq(prev)
             info = kernel_info()
             count_prior_leq(prev)
@@ -176,9 +176,9 @@ class TestFallback:
         assert not fresh_kernel.exists()
 
     def test_failing_build(self, kernel, fresh_kernel, monkeypatch, caplog):
-        monkeypatch.setattr(_fenwick, "SOURCE", "this is not C;\n")
+        monkeypatch.setattr(_kernels, "SOURCE", "this is not C;\n")
         prev = previous_occurrences(np.arange(200) % 7)
-        with caplog.at_level(logging.WARNING, logger=_fenwick.__name__):
+        with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
             out = count_prior_leq(prev)
         np.testing.assert_array_equal(out, _count_prior_leq_numpy(prev))
         info = kernel_info()
@@ -190,10 +190,10 @@ class TestFallback:
     def test_unwritable_cache_builds_privately(self, kernel, monkeypatch, tmp_path, caplog):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
-        monkeypatch.setattr(_fenwick, "_state", None)
+        monkeypatch.setattr(_kernels, "_state", None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         prev = previous_occurrences(np.arange(300) % 11)
-        with caplog.at_level(logging.WARNING, logger=_fenwick.__name__):
+        with caplog.at_level(logging.WARNING, logger=_kernels.__name__):
             out = count_prior_leq(prev)
         np.testing.assert_array_equal(out, _count_prior_leq_numpy(prev))
         info = kernel_info()
@@ -206,7 +206,7 @@ class TestFallback:
         (built,) = fresh_kernel.iterdir()
         assert built.suffix == ".so"
         mtime = built.stat().st_mtime_ns
-        _fenwick._state = None
+        _kernels._state = None
         assert kernel_info() == {"kernel": "c", "reason": None}
         assert [p.stat().st_mtime_ns for p in fresh_kernel.iterdir()] == [mtime]
 
@@ -217,10 +217,10 @@ _CHILD = textwrap.dedent(
     from pathlib import Path
     import numpy as np
     import repro.experiments.runner  # importing the program builds nothing
-    from repro.machine.engine import _fenwick
+    from repro.machine.engine import _kernels
     from repro.machine.engine.distinct import (
         _count_prior_leq_numpy, count_prior_leq, kernel_info, previous_occurrences)
-    assert _fenwick._state is None
+    assert _kernels._state is None
     ready, go = sys.argv[1:]
     Path(ready).touch()
     while not os.path.exists(go):
@@ -233,14 +233,14 @@ _CHILD = textwrap.dedent(
 
 
 def test_threads_build_once(kernel, fresh_kernel, monkeypatch):
-    real_load = _fenwick._load
+    real_load = _kernels._load
     loads = []
 
     def counting_load():
         loads.append(threading.get_ident())
         return real_load()
 
-    monkeypatch.setattr(_fenwick, "_load", counting_load)
+    monkeypatch.setattr(_kernels, "_load", counting_load)
     barrier = threading.Barrier(8)
     infos = []
 
@@ -299,7 +299,7 @@ def _forked_job(request):
     """Runs in a fork-pool worker, as ``repro serve --jobs N`` jobs do."""
     from repro.service.executor import run_simulate_job
 
-    inherited = _fenwick._state is not None and _fenwick._state[0] is not None
+    inherited = _kernels._state is not None and _kernels._state[0] is not None
     return inherited, run_simulate_job([request]), kernel_info()
 
 
@@ -342,10 +342,11 @@ class TestManifest:
         from repro.experiments.result import failed_result
 
         manifest = build_manifest([failed_result("fig1", ExperimentConfig(), "boom")], run_id="kernels")
-        assert manifest["kernels"] == {"count_prior_leq": kernel_info()}
+        assert manifest["kernels"]["count_prior_leq"] == kernel_info()
         validator, schema = self._validator()
         validator.validate(manifest, schema)
-        bad = {**manifest, "kernels": {"count_prior_leq": {"kernel": "fortran", "reason": None}}}
+        fortran = {"kernel": "fortran", "reason": None}
+        bad = {**manifest, "kernels": {**manifest["kernels"], "count_prior_leq": fortran}}
         with pytest.raises(validator.ValidationError, match="fortran"):
             validator.validate(bad, schema)
         old = {k: v for k, v in manifest.items() if k != "kernels"}
